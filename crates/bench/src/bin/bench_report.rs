@@ -1,32 +1,20 @@
-//! `bench-report` — time the annotation engines and the parallel trial
-//! runtime, writing the tracked benchmark JSON.
+//! `bench-report` — the checking harnesses, each writing a tracked JSON
+//! artifact whose identity and coverage flags CI asserts.
 //!
 //! Usage:
-//!   bench-report [--streaming | --parallel | --skeleton | --churn | --scenarios | --serve | --resilience] [--quick] [--seed N] [--out PATH]
+//!   bench-report (--churn | --scenarios | --serve | --resilience) [--quick] [--seed N] [--out PATH]
 //!
-//! Default mode times the hot *static* sampling designs (SRS/WCS/TWCS
-//! trial loops) and writes `BENCH_throughput.json`. `--streaming` instead
-//! replays evolving-KG update sequences through the §6 incremental
-//! evaluators (RS/SS) under both engines and writes `BENCH_streaming.json`
-//! (schema `kg-bench-streaming/v1`). `--parallel` sweeps the
-//! `TrialExecutor` worker counts (1/2/4/8) over the static TWCS workload
-//! under both engines and writes `BENCH_parallel.json` (schema
-//! `kg-bench-parallel/v1`), recording both the scaling curve and the
-//! bitwise worker-count-invariance check. `--skeleton` times the
-//! engine-independent per-batch stream bookkeeping (reservoir offers +
-//! PPS appends) under the per-item and batched offer paths and writes
-//! `BENCH_skeleton.json` (schema `kg-bench-skeleton/v1`), including the
-//! byte-identity check between the two. `--churn` replays deletion-aware
-//! event streams (inserts + retractions at 0%/25%/50% delete fractions)
-//! through RS/SS under both engines and writes `BENCH_churn.json` (schema
-//! `kg-bench-churn/v1`), with a per-fraction cross-engine and cross-offer-
-//! path identity check. `--scenarios` sweeps the adversarial scenario
-//! matrix — every `kg_datagen::scenario` family through all eight
-//! evaluators under both engines — and writes `BENCH_scenarios.json`
-//! (schema `kg-bench-scenarios/v1`) with per-cell byte-identity and CI
-//! coverage flags. `--serve` load-tests the kg-serve session service over
-//! real TCP — thousands of tenant monitors registered and driven through
-//! churn scripts, with served estimates byte-checked against in-process
+//! `--churn` replays deletion-aware event streams (inserts + retractions
+//! at 0%/25%/50% delete fractions) through RS/SS under both engines and
+//! writes `BENCH_churn.json` (schema `kg-bench-churn/v1`), with a
+//! per-fraction cross-engine and cross-offer-path identity check.
+//! `--scenarios` sweeps the adversarial scenario matrix — every
+//! `kg_datagen::scenario` family through all eight evaluators under both
+//! engines — and writes `BENCH_scenarios.json` (schema
+//! `kg-bench-scenarios/v1`) with per-cell byte-identity and CI coverage
+//! flags. `--serve` load-tests the kg-serve session service over real TCP
+//! — thousands of tenant monitors registered and driven through churn
+//! scripts, with served estimates byte-checked against in-process
 //! evaluation and checkpoint/restore round-trips — and writes
 //! `BENCH_serve.json` (schema `kg-bench-serve/v1`). `--resilience` runs
 //! the deterministic chaos harness — seeded connection faults, abrupt
@@ -35,20 +23,23 @@
 //! a fault-free replay — and writes `BENCH_resilience.json` (schema
 //! `kg-bench-resilience/v1`).
 //!
+//! Performance is measured by the benchmark in `perfbench/` (warm-up,
+//! repeated samples, spread, and a traced per-layer run); the timings
+//! these artifacts carry are single samples for context only.
+//!
 //! `--quick` shrinks scales and trial counts (CI); the default output path
 //! is `BENCH_<mode>.json` in the working directory. All artifacts are
 //! written atomically (temp file + rename), so an interrupted run never
 //! leaves a truncated JSON. Run release: `cargo run --release -p kg-bench
-//! --bin bench-report`.
+//! --bin bench-report -- --churn`.
 
 use kg_bench::artifact::write_atomic;
-use kg_bench::{chaos, churn, parallel, scenarios, serve, skeleton, streaming, throughput};
+use kg_bench::{chaos, churn, scenarios, serve};
+
+const USAGE: &str =
+    "bench-report (--churn | --scenarios | --serve | --resilience) [--quick] [--seed N] [--out PATH]";
 
 enum Mode {
-    Throughput,
-    Streaming,
-    Parallel,
-    Skeleton,
     Churn,
     Scenarios,
     Serve,
@@ -59,17 +50,14 @@ fn main() {
     let mut quick = false;
     let mut seed: Option<u64> = None;
     let mut out: Option<String> = None;
-    let mut mode = Mode::Throughput;
+    let mut mode: Option<Mode> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--streaming" => mode = Mode::Streaming,
-            "--parallel" => mode = Mode::Parallel,
-            "--skeleton" => mode = Mode::Skeleton,
-            "--churn" => mode = Mode::Churn,
-            "--scenarios" => mode = Mode::Scenarios,
-            "--serve" => mode = Mode::Serve,
-            "--resilience" => mode = Mode::Resilience,
+            "--churn" => mode = Some(Mode::Churn),
+            "--scenarios" => mode = Some(Mode::Scenarios),
+            "--serve" => mode = Some(Mode::Serve),
+            "--resilience" => mode = Some(Mode::Resilience),
             "--quick" => quick = true,
             "--seed" => {
                 seed = Some(
@@ -82,63 +70,17 @@ fn main() {
                 out = Some(args.next().unwrap_or_else(|| die("--out needs a path")));
             }
             "--help" | "-h" => {
-                eprintln!(
-                    "bench-report [--streaming | --parallel | --skeleton | --churn | --scenarios | --serve | --resilience] [--quick] [--seed N] [--out PATH]"
-                );
+                eprintln!("{USAGE}");
                 return;
             }
             other => die(&format!("unknown argument {other}")),
         }
     }
+    let mode = mode.unwrap_or_else(|| die(&format!("a mode is required\nusage: {USAGE}")));
     #[cfg(debug_assertions)]
     eprintln!("warning: debug build — run with --release for meaningful numbers");
 
     let (table, json, out) = match mode {
-        Mode::Streaming => {
-            let mut opts = streaming::StreamingOpts {
-                quick,
-                ..Default::default()
-            };
-            if let Some(s) = seed {
-                opts.seed = s;
-            }
-            let report = streaming::run(&opts);
-            (
-                streaming::render_table(&report),
-                streaming::to_json(&report),
-                out.unwrap_or_else(|| String::from("BENCH_streaming.json")),
-            )
-        }
-        Mode::Parallel => {
-            let mut opts = parallel::ParallelOpts {
-                quick,
-                ..Default::default()
-            };
-            if let Some(s) = seed {
-                opts.seed = s;
-            }
-            let report = parallel::run(&opts);
-            (
-                parallel::render_table(&report),
-                parallel::to_json(&report),
-                out.unwrap_or_else(|| String::from("BENCH_parallel.json")),
-            )
-        }
-        Mode::Skeleton => {
-            let mut opts = skeleton::SkeletonOpts {
-                quick,
-                ..Default::default()
-            };
-            if let Some(s) = seed {
-                opts.seed = s;
-            }
-            let report = skeleton::run(&opts);
-            (
-                skeleton::render_table(&report),
-                skeleton::to_json(&report),
-                out.unwrap_or_else(|| String::from("BENCH_skeleton.json")),
-            )
-        }
         Mode::Churn => {
             let mut opts = churn::ChurnOpts {
                 quick,
@@ -197,21 +139,6 @@ fn main() {
                 chaos::render_table(&report),
                 chaos::to_json(&report),
                 out.unwrap_or_else(|| String::from("BENCH_resilience.json")),
-            )
-        }
-        Mode::Throughput => {
-            let mut opts = throughput::ThroughputOpts {
-                quick,
-                ..Default::default()
-            };
-            if let Some(s) = seed {
-                opts.seed = s;
-            }
-            let report = throughput::run(&opts);
-            (
-                throughput::render_table(&report),
-                throughput::to_json(&report),
-                out.unwrap_or_else(|| String::from("BENCH_throughput.json")),
             )
         }
     };

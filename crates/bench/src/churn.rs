@@ -1,12 +1,13 @@
 //! Tracked churn harness: the §6 incremental evaluators under
 //! interleaved insertions **and deletions**, hash vs dense engine.
 //!
-//! `bench-report --churn` is the deletion-aware counterpart of the
-//! streaming harness: at each base scale it generates a movie-like base KG
-//! and replays the same [`ChurnGenerator`] event stream — inserts plus
-//! uniformly sampled retractions of live triples — at delete fractions of
-//! 0%, 25%, and 50% of the per-event insert volume, under both annotation
-//! engines, writing `BENCH_churn.json` (schema `kg-bench-churn/v1`).
+//! `bench-report --churn`: at each base scale it generates a movie-like
+//! base KG and replays the same [`ChurnGenerator`] event stream — inserts
+//! plus uniformly sampled retractions of live triples — at delete
+//! fractions of 0%, 25%, and 50% of the per-event insert volume, under
+//! both annotation engines, writing `BENCH_churn.json` (schema
+//! `kg-bench-churn/v1`). At fraction 0 the stream is the insert-only
+//! movie-like update stream.
 //!
 //! The headline metric is **nanoseconds per changed triple**: wall-clock
 //! time of the event-application loop (base evaluation excluded) divided
@@ -33,7 +34,6 @@ use kg_eval::config::EvalConfig;
 use kg_eval::dynamic::monitor::run_event_sequence;
 use kg_eval::dynamic::reservoir::ReservoirEvaluator;
 use kg_eval::dynamic::stratified::StratifiedIncremental;
-use kg_eval::executor::run_trials;
 use kg_model::implicit::{ClusterPopulation, ImplicitKg};
 use kg_model::retract::KgEvent;
 use kg_sampling::PopulationIndex;
@@ -575,38 +575,6 @@ fn offer_modes_agree_with(
     sigs.iter().all(|sig| sig == &sigs[0])
 }
 
-/// Average per-stream CI coverage of the live truth across seeded churn
-/// replays — the statistical backbone of the churn coverage suites.
-pub fn coverage_after_churn(
-    evaluator: &'static str,
-    engine: &'static str,
-    target: u64,
-    fraction: f64,
-    trials: u64,
-    base_seed: u64,
-) -> f64 {
-    let s = setup(target, fraction, base_seed);
-    let config = monitor_config();
-    let evolved = evolved_store(&s);
-    let truth = evolved.true_accuracy();
-    let store = Arc::new(evolved);
-    let stats = run_trials(trials, base_seed, 1, |trial_seed| {
-        let est = match engine {
-            "hash" => {
-                let mut ann = SimulatedAnnotator::new(&s.oracle, CostModel::default());
-                replay(evaluator, &s, config, &mut ann, trial_seed).0
-            }
-            "dense" => {
-                let mut ann = DenseAnnotator::new(store.clone(), CostModel::default());
-                replay(evaluator, &s, config, &mut ann, trial_seed).0
-            }
-            other => panic!("unknown engine {other}"),
-        };
-        vec![((est - truth).abs() <= config.target_moe) as u64 as f64]
-    });
-    stats[0].mean()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -655,6 +623,23 @@ mod tests {
     #[test]
     fn engines_agree_under_heavy_churn() {
         assert!(engines_agree(3_000, 0.5, 99));
+    }
+
+    #[test]
+    fn signatures_differ_across_seeds() {
+        // The identity checks compare these signatures; if different seeds
+        // collided, every identity check would pass vacuously.
+        let s = setup(3_000, 0.25, 11);
+        let config = monitor_config();
+        for ev in ["RS", "SS"] {
+            let mut a = SimulatedAnnotator::new(&s.oracle, CostModel::default());
+            let mut b = SimulatedAnnotator::new(&s.oracle, CostModel::default());
+            assert_ne!(
+                replay_signature(ev, &s, config, &mut a, 1),
+                replay_signature(ev, &s, config, &mut b, 2),
+                "{ev}"
+            );
+        }
     }
 
     #[test]

@@ -24,12 +24,9 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod granular;
-pub mod parallel;
 pub mod scenarios;
 pub mod serve;
 pub mod sharded;
-pub mod skeleton;
-pub mod streaming;
 pub mod table;
 pub mod table3;
 pub mod table4;
@@ -37,7 +34,6 @@ pub mod table5;
 pub mod table6;
 pub mod table7;
 pub mod table8;
-pub mod throughput;
 pub mod trials;
 
 /// Experiment options shared by all modules.

@@ -10,7 +10,6 @@
 //! sharded walk, merge tree, or kernel layer fails the diff.
 
 use crate::table::TextTable;
-use crate::throughput::synthetic_sizes;
 use crate::Opts;
 use kg_annotate::cost::CostModel;
 use kg_annotate::lease::DenseArenaPool;
@@ -18,6 +17,27 @@ use kg_annotate::oracle::RemOracle;
 use kg_eval::sharded::{ShardDesign, ShardedReplay};
 use kg_sampling::PopulationIndex;
 use std::sync::Arc;
+
+/// Long-tail synthetic cluster sizes totalling ≈ `target` triples: mostly
+/// small clusters (1–13) with a sprinkling of 120-triple heads, matching
+/// the shape the paper's KGs exhibit (Table 3) and keeping `triple_at` on
+/// its general binary-search path.
+pub fn synthetic_sizes(target: u64) -> Vec<u32> {
+    let mut sizes = Vec::new();
+    let mut total = 0u64;
+    let mut i = 0u64;
+    while total < target {
+        let s = if i.is_multiple_of(97) {
+            120
+        } else {
+            1 + (i % 13) as u32
+        };
+        sizes.push(s);
+        total += s as u64;
+        i += 1;
+    }
+    sizes
+}
 
 /// Run the experiment: both designs × both engines over two synthetic
 /// scales, replayed with the default shard-worker resolution.
@@ -90,6 +110,14 @@ pub fn run(opts: &Opts) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn synthetic_sizes_hit_target() {
+        let sizes = synthetic_sizes(100_000);
+        let total: u64 = sizes.iter().map(|&s| s as u64).sum();
+        assert!((100_000..100_200).contains(&total), "total {total}");
+        assert!(sizes.contains(&120));
+    }
 
     #[test]
     fn dump_is_reproducible_and_engine_agnostic() {

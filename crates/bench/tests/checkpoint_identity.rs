@@ -7,7 +7,7 @@
 //! restored into a fresh registry must finish the stream with estimates
 //! byte-identical to the uninterrupted run — not approximately equal,
 //! `f64::to_bits` equal. Wired into the CI determinism job alongside
-//! `offer_identity` and `churn_identity`.
+//! `churn_identity`.
 
 use kg_eval::config::EvalConfig;
 use kg_eval::dynamic::reservoir::OfferMode;

@@ -14,7 +14,7 @@
 use kg_annotate::cost::CostModel;
 use kg_annotate::lease::DenseArenaPool;
 use kg_annotate::oracle::RemOracle;
-use kg_bench::throughput::synthetic_sizes;
+use kg_bench::sharded::synthetic_sizes;
 use kg_eval::framework::Evaluator;
 use kg_eval::sharded::{ShardReplayReport, ShardedReplay};
 use kg_sampling::PopulationIndex;

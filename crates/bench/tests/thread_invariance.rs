@@ -12,7 +12,7 @@
 use kg_annotate::cost::CostModel;
 use kg_annotate::lease::DenseArenaPool;
 use kg_annotate::oracle::RemOracle;
-use kg_bench::throughput::synthetic_sizes;
+use kg_bench::sharded::synthetic_sizes;
 use kg_eval::config::EvalConfig;
 use kg_eval::executor::{run_trials, TrialExecutor};
 use kg_eval::framework::{Evaluator, TrialAggregate};

@@ -7,8 +7,9 @@
 //! The monitor is engine-agnostic: each `apply_update` announces its batch
 //! to the annotator (see [`IncrementalEvaluator`]), so the same sequence
 //! runs unchanged over the hash `SimulatedAnnotator` or a growable
-//! `DenseAnnotator` — the streaming benchmark (`bench-report --streaming`)
-//! replays identical sequences under both. It is equally offer-mode
+//! `DenseAnnotator` — the churn identity test
+//! (`crates/bench/tests/churn_identity.rs`) replays identical sequences
+//! under both. It is equally offer-mode
 //! agnostic: the reservoir evaluator's batched offer path (see
 //! [`crate::dynamic::reservoir::OfferMode`]) is bitwise identical to the
 //! per-item loop, so sequences replayed here match across that axis too —

@@ -33,9 +33,11 @@ use kg_model::KgError;
 
 /// Encode bytes as lowercase hex.
 pub fn hex_encode(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        out.push(DIGITS[usize::from(b >> 4)] as char);
+        out.push(DIGITS[usize::from(b & 0xf)] as char);
     }
     out
 }
@@ -509,6 +511,7 @@ mod tests {
     #[test]
     fn hex_round_trips() {
         let bytes: Vec<u8> = (0..=255).collect();
+        assert_eq!(hex_encode(&[0x00, 0x0f, 0xa5, 0xff]), "000fa5ff");
         assert_eq!(hex_decode(&hex_encode(&bytes)).unwrap(), bytes);
         assert!(hex_decode("abc").is_none());
         assert!(hex_decode("zz").is_none());

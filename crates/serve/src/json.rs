@@ -173,7 +173,17 @@ fn write_escaped(s: &str, out: &mut String) {
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
 /// content rejected).
 pub fn parse(input: &[u8]) -> Result<Json, JsonError> {
-    let mut p = Parser { input, pos: 0 };
+    // Validate UTF-8 once for the whole document. Outside strings JSON is
+    // ASCII, so this rejects nothing a strict parser would accept, and
+    // strings can then be copied as slices without re-validation.
+    let text = std::str::from_utf8(input).map_err(|e| JsonError {
+        what: "valid UTF-8",
+        at: e.valid_up_to(),
+    })?;
+    let mut p = Parser {
+        input: text,
+        pos: 0,
+    };
     p.skip_ws();
     let value = p.value(0)?;
     p.skip_ws();
@@ -184,7 +194,7 @@ pub fn parse(input: &[u8]) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
-    input: &'a [u8],
+    input: &'a str,
     pos: usize,
 }
 
@@ -194,7 +204,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.input.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -229,7 +239,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, text: &'static [u8], value: Json) -> Result<Json, JsonError> {
-        if self.input[self.pos..].starts_with(text) {
+        if self.input.as_bytes()[self.pos..].starts_with(text) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -246,9 +256,9 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let text =
-            std::str::from_utf8(&self.input[start..self.pos]).map_err(|_| self.err("a number"))?;
-        let n: f64 = text.parse().map_err(|_| self.err("a number"))?;
+        let n: f64 = self.input[start..self.pos]
+            .parse()
+            .map_err(|_| self.err("a number"))?;
         if n.is_finite() {
             Ok(Json::Num(n))
         } else {
@@ -293,12 +303,13 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("no raw control characters")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.input[self.pos..])
-                        .map_err(|_| self.err("valid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("a character"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy a run of plain characters. Every byte that ends
+                    // the run is ASCII, so the run ends on a char boundary.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.input[start..self.pos]);
                 }
             }
         }
@@ -377,10 +388,12 @@ mod tests {
 
     #[test]
     fn round_trips_structures() {
-        let doc = br#"{"a": [1, 2.5, -3], "b": {"c": "x\ny"}, "d": true, "e": null}"#;
-        let v = parse(doc).unwrap();
+        let doc =
+            r#"{"a": [1, 2.5, -3], "b": {"c": "x\ny"}, "d": true, "e": null, "f": "é✓𝄞\t\u00e9"}"#;
+        let v = parse(doc.as_bytes()).unwrap();
         assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
+        assert_eq!(v.get("f").unwrap().as_str(), Some("é✓𝄞\té"));
         assert_eq!(v.get("d").unwrap().as_bool(), Some(true));
         let again = parse(v.to_string().as_bytes()).unwrap();
         assert_eq!(v, again);
@@ -410,6 +423,24 @@ mod tests {
         assert!(parse(b"1e999").is_err(), "infinite numbers rejected");
         let deep = "[".repeat(200) + &"]".repeat(200);
         assert!(parse(deep.as_bytes()).is_err(), "depth-limited");
+        assert!(parse(b"\"\xff\"").is_err(), "invalid UTF-8 in a string");
+        assert!(parse(b"\"a\x01\"").is_err(), "raw control character");
+    }
+
+    #[test]
+    fn multi_megabyte_string_parses_in_linear_time() {
+        // A restore posts a large tenant's hex checkpoint as one string.
+        let hex = "0123456789abcdef".repeat(1 << 17);
+        let doc = format!("{{\"checkpoint\": \"{hex}\"}}");
+        assert!(doc.len() > 2 << 20);
+        let started = std::time::Instant::now();
+        let v = parse(doc.as_bytes()).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(v.get("checkpoint").unwrap().as_str(), Some(hex.as_str()));
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "2 MiB string took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod http;
 pub mod json;
 
 use kg_eval::session::SessionRegistry;
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -159,27 +159,24 @@ impl Shared {
 }
 
 /// A remote control for requesting a graceful drain (e.g. from a signal
-/// watcher thread) without owning the [`ServerHandle`].
+/// watcher thread) without owning the [`Server`].
 #[derive(Clone)]
 pub struct DrainController(Arc<Shared>);
 
 impl DrainController {
     /// Ask the server to drain; returns immediately. Join the
-    /// [`ServerHandle`] to observe completion.
+    /// [`Server`] to observe completion.
     pub fn request_drain(&self) {
         self.0.request_drain();
     }
 }
 
 /// A running accept loop. Dropping the handle does **not** stop the
-/// server; call [`ServerHandle::drain`] or [`ServerHandle::kill`].
+/// server; call [`Server::drain`] or [`Server::kill`].
 pub struct Server {
     shared: Arc<Shared>,
     accept: thread::JoinHandle<()>,
 }
-
-/// Alias kept descriptive at call sites.
-pub type ServerHandle = Server;
 
 impl Server {
     /// Start serving `listener` on a background accept thread.
@@ -284,10 +281,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         let seq = shared.accepted.fetch_add(1, Ordering::Relaxed);
         let in_flight = shared.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
         let conn_shared = Arc::clone(&shared);
-        thread::spawn(move || {
-            handle_exchange(&conn_shared, stream, seq, in_flight);
-            conn_shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        });
+        thread::spawn(move || handle_exchange(&conn_shared, stream, seq, in_flight));
     }
     drop(listener);
     if shared.killed.load(Ordering::SeqCst) {
@@ -337,6 +331,8 @@ fn finish_exchange(mut stream: TcpStream) {
 /// Serve one connection end to end: fault hook, shedding, deadlines,
 /// admin routes, API dispatch.
 fn handle_exchange(shared: &Shared, stream: TcpStream, seq: u64, in_flight: usize) {
+    // Gives the slot back however the exchange ends, a panic included.
+    let _slot = InFlightSlot(&shared.in_flight);
     let action = match &shared.fault {
         Some(hook) => hook.plan(seq),
         None => FaultAction::None,
@@ -394,6 +390,16 @@ fn handle_exchange(shared: &Shared, stream: TcpStream, seq: u64, in_flight: usiz
     }
 }
 
+/// The load-shedding slot `accept_loop` took for one exchange, given back
+/// on drop so that an exchange that panics still releases it.
+struct InFlightSlot<'a>(&'a AtomicUsize);
+
+impl Drop for InFlightSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 fn err_body(what: &str) -> json::Json {
     json::Json::Obj(vec![(
         "error".to_string(),
@@ -443,28 +449,6 @@ fn dispatch(shared: &Shared, request: &http::Request) -> (u16, json::Json) {
         }
         _ => api::handle(&shared.registry, request),
     }
-}
-
-/// Handle one connection without hardening: read a single request,
-/// dispatch, respond, close. Parse failures answer 400; a half-open peer
-/// is dropped silently. Kept for in-process callers that bring their own
-/// transport guarantees; the [`Server`] path adds deadlines, shedding,
-/// and fault injection.
-pub fn handle_connection(registry: &SessionRegistry, stream: TcpStream) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    });
-    let mut writer = stream;
-    let (status, body) = match http::read_request(&mut reader) {
-        Ok(request) => api::handle(registry, &request),
-        Err(http::HttpError::Closed) => return,
-        Err(http::HttpError::Io(_)) => return,
-        Err(http::HttpError::Bad(what)) => (400, err_body(what)),
-        Err(http::HttpError::TooLarge(what)) => (413, err_body(what)),
-    };
-    let _ = http::write_response(&mut writer, status, &body.to_string());
-    let _ = writer.flush();
 }
 
 /// Accept loop with default hardening: serve until drained (via

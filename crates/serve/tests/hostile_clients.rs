@@ -3,9 +3,12 @@
 //! terminate within the configured deadlines with the right status, and
 //! the registry must stay consistent throughout.
 
+use kg_eval::session::SessionRegistry;
+use kg_serve::{FaultAction, FaultHook, ServerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::process::{Child, ChildStdout, Command, Stdio};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const READ_TIMEOUT_MS: u64 = 400;
@@ -205,4 +208,49 @@ fn load_shedding_answers_503_with_retry_after() {
         response.to_ascii_lowercase().contains("retry-after: 1"),
         "missing retry-after: {response}"
     );
+}
+
+/// Panics while planning connection 0; serves every later one normally.
+struct PanicOnFirstConnection;
+
+impl FaultHook for PanicOnFirstConnection {
+    fn plan(&self, conn_seq: u64) -> FaultAction {
+        assert_ne!(conn_seq, 0, "injected panic on connection 0");
+        FaultAction::None
+    }
+}
+
+#[test]
+fn a_panicking_exchange_gives_back_its_in_flight_slot() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let config = ServerConfig {
+        max_in_flight: 1,
+        drain_deadline: Duration::from_secs(2),
+        ..ServerConfig::default()
+    };
+    let server = kg_serve::Server::start(
+        listener,
+        Arc::new(SessionRegistry::new()),
+        config,
+        Some(Arc::new(PanicOnFirstConnection)),
+    )
+    .unwrap();
+    // Connection 0: its exchange panics before touching the socket, so
+    // the slot is given back before the peer sees the connection close.
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut response = Vec::new();
+    let _ = stream.read_to_end(&mut response);
+    assert!(response.is_empty(), "a panicked exchange sends nothing");
+    // Connection 1 fits under max_in_flight = 1 only if connection 0's
+    // slot was released.
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .write_all(b"GET /admin/stats HTTP/1.1\r\ncontent-length: 0\r\n\r\n")
+        .unwrap();
+    let (status, body) = read_status_and_body(stream);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(server.drain().stragglers, 0, "no slot leaked past drain");
 }
